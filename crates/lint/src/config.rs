@@ -112,6 +112,9 @@ impl LintConfig {
                 // through the same guarantee — count or ignore, never
                 // unwind.
                 "crates/serve/src/coordinator.rs".to_string(),
+                // The serving core both dispatchers sit behind: the
+                // connection loop, the drain and the accept loop.
+                "crates/serve/src/dispatch.rs".to_string(),
                 // PR 9: the persistent cache store must tolerate any
                 // on-disk corruption without panicking.
                 "crates/core/src/store.rs".to_string(),

@@ -16,10 +16,10 @@
 //!
 //! A backend that dies (its data connection drops) or sits on a point
 //! past the retry timeout gets its undelivered points re-dispatched to
-//! the surviving backends; points whose `point` line already reached the
-//! client are settled as delivered.  Every point therefore settles
-//! exactly once — delivered, dropped, aborted or failed — and the
-//! client's `done` line keeps the protocol invariant
+//! the surviving backends; points whose `point` line already arrived are
+//! settled as delivered.  Every point therefore settles exactly once —
+//! delivered, dropped, aborted or failed — and the client's `done` line
+//! keeps the protocol invariant
 //! `delivered + dropped + aborted + failed == points` through any
 //! combination of deaths, retries, cancels and deadlines.  Determinism
 //! makes re-dispatch safe: a re-simulated point produces bit-for-bit the
@@ -31,15 +31,15 @@
 //! `pending` routing map and a backend `conn` writer are never held at
 //! the same time (collect under one, act under the other).
 
+use crate::dispatch::{Canceller, Dispatcher, Job, Outcome, Wait};
 use crate::protocol::{
-    parse_request, parse_response, CacheAction, DeliveryMode, DoneStatus, Request, Response,
-    ShutdownMode, SweepRequest, TraceSource,
+    parse_response, CacheAction, DeliveryMode, Response, ShutdownMode, SweepRequest, TraceSource,
 };
 use dae_core::{cache_key_digest, Machine, TraceHash, WindowSpec};
 use dae_isa::Cycle;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
@@ -54,7 +54,7 @@ const DEFAULT_VNODES: usize = 64;
 /// the watchdog re-dispatches it elsewhere.  Deliberately generous: death
 /// detection (the dropped connection) is the fast path, and a false
 /// timeout only costs a redundant deterministic simulation.
-const DEFAULT_RETRY_TIMEOUT: Duration = Duration::from_secs(30);
+const RETRY_TIMEOUT: Duration = Duration::from_secs(30);
 
 /// Watchdog scan period.
 const WATCHDOG_POLL: Duration = Duration::from_millis(100);
@@ -62,24 +62,6 @@ const WATCHDOG_POLL: Duration = Duration::from_millis(100);
 /// Read timeout on ephemeral control connections (`stats` / `cache` /
 /// `shutdown` fan-out), so a wedged backend cannot hang a control verb.
 const CONTROL_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// Tuning knobs for a [`Coordinator`].
-#[derive(Debug, Clone, Copy)]
-pub struct CoordinatorConfig {
-    /// Ring points per backend on the consistent-hash ring.
-    pub vnodes: usize,
-    /// Undelivered points older than this are re-dispatched.
-    pub retry_timeout: Duration,
-}
-
-impl Default for CoordinatorConfig {
-    fn default() -> Self {
-        CoordinatorConfig {
-            vnodes: DEFAULT_VNODES,
-            retry_timeout: DEFAULT_RETRY_TIMEOUT,
-        }
-    }
-}
 
 /// A consistent-hash ring over `backends` numbered `0..n`.
 ///
@@ -178,8 +160,18 @@ struct Backend {
     alive: AtomicBool,
 }
 
+impl Backend {
+    fn new(addr: String, conn: Option<TcpStream>) -> Backend {
+        Backend {
+            addr,
+            conn: Mutex::new(conn),
+            alive: AtomicBool::new(true),
+        }
+    }
+}
+
 /// Routing state for one client request: everything a backend reply (or
-/// a death sweep) needs to push results back to the request's drainer.
+/// a death sweep) needs to push results back to the request's job.
 #[derive(Debug)]
 struct RequestRoute {
     /// The original client request (re-dispatch rebuilds subrequest lines
@@ -187,8 +179,8 @@ struct RequestRoute {
     request: SweepRequest,
     /// The structural content hash placement digests are built from.
     hash: TraceHash,
-    /// Events to the request's drainer thread.
-    tx: mpsc::Sender<CoordEvent>,
+    /// Settlements to the request's job: `(grid index, outcome)`.
+    tx: mpsc::Sender<(usize, Outcome)>,
     /// Set by client `cancel`, deadline expiry and dead-client cleanup;
     /// once set, reclaimed points settle as dropped instead of
     /// re-dispatching.
@@ -208,9 +200,9 @@ struct PendingPoint {
     backend: usize,
     /// When the current dispatch was written (watchdog timeout base).
     dispatched: Instant,
-    /// The backend's `point` line was forwarded to the drainer; only the
-    /// closing `done` (with its `cached` flag) is still outstanding.
-    delivered: bool,
+    /// The cycles of the backend's `point` line, held until the
+    /// subrequest's `done` (with its `cached` flag) settles the point.
+    cycles: Option<Cycle>,
     /// A `point … failed:` error message the backend sent ahead of its
     /// `done failed=1` line.
     failure: Option<String>,
@@ -219,35 +211,52 @@ struct PendingPoint {
     avoid: Option<usize>,
 }
 
-/// What a point's lifecycle pushes at the request drainer.  Every point
-/// produces exactly one *settlement* — `Settled`, `Failed`, `Skipped` or
-/// `Aborted` — and at most one `Point` (always before its `Settled`).
+impl PendingPoint {
+    /// Sends the point's one settlement to its request's job.  The job
+    /// holds the route, and with it the receiver's sender, so the send
+    /// cannot fail while anyone waits on it.
+    fn settle(&self, outcome: Outcome) {
+        let _ = self.route.tx.send((self.index, outcome));
+    }
+}
+
+/// One client request's job: the settlements its points send.
 #[derive(Debug)]
-enum CoordEvent {
-    /// A finished point: forward the `point` line (stream) or buffer it
-    /// (batch).  Not yet a settlement — the `cached` flag arrives with
-    /// the subrequest's `done`.
-    Point {
-        index: usize,
-        machine: Machine,
-        window: WindowSpec,
-        md: Cycle,
-        cycles: Cycle,
-    },
-    /// A delivered point's subrequest closed; settles the point.
-    Settled {
-        /// The backend answered the point from its sweep-result cache.
-        cached: bool,
-    },
-    /// The point's simulation failed on a backend (worker panic);
-    /// settles the point and produces a client `error` line.
-    Failed { index: usize, message: String },
-    /// The point was dropped before simulating (cancellation, shutdown,
-    /// or no surviving backend under cancel); settles the point.
-    Skipped,
-    /// The point was cooperatively aborted mid-simulation on a backend;
-    /// settles the point.
-    Aborted,
+struct RoutedJob {
+    inner: Arc<CoordInner>,
+    route: Arc<RequestRoute>,
+    rx: mpsc::Receiver<(usize, Outcome)>,
+    /// Points not yet settled.
+    remaining: usize,
+}
+
+impl Job for RoutedJob {
+    fn next(&mut self, deadline: Option<Instant>) -> Wait {
+        if self.remaining == 0 {
+            return Wait::Exhausted;
+        }
+        let received = match deadline {
+            Some(at) => self
+                .rx
+                .recv_timeout(at.saturating_duration_since(Instant::now())),
+            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        };
+        match received {
+            Ok((index, outcome)) => {
+                self.remaining -= 1;
+                Wait::Settled(index, outcome)
+            }
+            Err(RecvTimeoutError::Timeout) => Wait::TimedOut,
+            // Unreachable in practice: `self.route` holds the sender.
+            Err(RecvTimeoutError::Disconnected) => Wait::Exhausted,
+        }
+    }
+
+    fn canceller(&self) -> Canceller {
+        let inner = Arc::clone(&self.inner);
+        let route = Arc::clone(&self.route);
+        Arc::new(move || inner.cancel_route(&route))
+    }
 }
 
 /// Shared coordinator state: the fleet, the ring, and the subrequest
@@ -266,7 +275,6 @@ struct CoordInner {
     hashes: Mutex<HashMap<(String, u64), TraceHash>>,
     next_subid: AtomicU64,
     shutting_down: AtomicBool,
-    retry_timeout: Duration,
     // Monotone counters, reported by `stats`.
     forwarded_points: AtomicU64,
     redispatched_points: AtomicU64,
@@ -276,8 +284,8 @@ struct CoordInner {
 }
 
 /// A shard coordinator over N `dae-serve` backends.  See the module docs
-/// for the protocol and fault model; [`serve_coordinator_connection`] and
-/// [`serve_coordinator_tcp`] are the front ends.
+/// for the protocol and fault model; it is the [`Dispatcher`] behind
+/// [`crate::serve_connection`] and the accept loops in coordinator mode.
 #[derive(Debug)]
 pub struct Coordinator {
     inner: Arc<CoordInner>,
@@ -293,15 +301,6 @@ impl Coordinator {
     /// a coordinator that starts degraded would silently serve a
     /// differently-partitioned fleet.
     pub fn connect(addrs: &[String]) -> io::Result<Coordinator> {
-        Coordinator::connect_with(addrs, CoordinatorConfig::default())
-    }
-
-    /// [`Coordinator::connect`] with explicit tuning knobs.
-    ///
-    /// # Errors
-    ///
-    /// See [`Coordinator::connect`].
-    pub fn connect_with(addrs: &[String], config: CoordinatorConfig) -> io::Result<Coordinator> {
         if addrs.is_empty() {
             return Err(io::Error::other("a coordinator needs at least one backend"));
         }
@@ -311,26 +310,9 @@ impl Coordinator {
             let stream = TcpStream::connect(addr)
                 .map_err(|e| io::Error::other(format!("cannot connect to backend {addr}: {e}")))?;
             read_halves.push(stream.try_clone()?);
-            backends.push(Backend {
-                addr: addr.clone(),
-                conn: Mutex::new(Some(stream)),
-                alive: AtomicBool::new(true),
-            });
+            backends.push(Backend::new(addr.clone(), Some(stream)));
         }
-        let inner = Arc::new(CoordInner {
-            partitioner: Partitioner::with_vnodes(backends.len(), config.vnodes.max(1)),
-            backends,
-            pending: Mutex::new(HashMap::new()),
-            hashes: Mutex::new(HashMap::new()),
-            next_subid: AtomicU64::new(1),
-            shutting_down: AtomicBool::new(false),
-            retry_timeout: config.retry_timeout,
-            forwarded_points: AtomicU64::new(0),
-            redispatched_points: AtomicU64::new(0),
-            backend_deaths: AtomicU64::new(0),
-            backend_reply_errors: AtomicU64::new(0),
-            coordinator_timeouts: AtomicU64::new(0),
-        });
+        let inner = Arc::new(CoordInner::new(backends));
         for (index, read_half) in read_halves.into_iter().enumerate() {
             let inner = Arc::clone(&inner);
             std::thread::spawn(move || {
@@ -351,27 +333,10 @@ impl Coordinator {
     #[must_use]
     pub fn detached(backends: usize) -> Coordinator {
         let backends = (0..backends)
-            .map(|index| Backend {
-                addr: format!("detached-{index}"),
-                conn: Mutex::new(None),
-                alive: AtomicBool::new(true),
-            })
-            .collect::<Vec<_>>();
+            .map(|index| Backend::new(format!("detached-{index}"), None))
+            .collect();
         Coordinator {
-            inner: Arc::new(CoordInner {
-                partitioner: Partitioner::new(backends.len()),
-                backends,
-                pending: Mutex::new(HashMap::new()),
-                hashes: Mutex::new(HashMap::new()),
-                next_subid: AtomicU64::new(1),
-                shutting_down: AtomicBool::new(false),
-                retry_timeout: DEFAULT_RETRY_TIMEOUT,
-                forwarded_points: AtomicU64::new(0),
-                redispatched_points: AtomicU64::new(0),
-                backend_deaths: AtomicU64::new(0),
-                backend_reply_errors: AtomicU64::new(0),
-                coordinator_timeouts: AtomicU64::new(0),
-            }),
+            inner: Arc::new(CoordInner::new(backends)),
         }
     }
 
@@ -385,42 +350,59 @@ impl Coordinator {
         self.inner.handle_backend_reply(line);
     }
 
-    /// Whether a `shutdown` request has been accepted.
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.inner.shutting_down.load(Ordering::Acquire)
-    }
-
     /// Points dispatched to backends and not yet settled.
     #[must_use]
     pub fn pending_points(&self) -> usize {
         self.inner.lock_pending().len()
     }
+}
 
-    /// Stops admitting sweeps and forwards the shutdown to every backend
-    /// over ephemeral control connections (drain lets their in-flight
-    /// subrequests finish; abort cancels them — either way their `done`
-    /// lines settle this side's accounting).
-    pub fn shutdown(&self, mode: ShutdownMode) {
-        self.inner.shutting_down.store(true, Ordering::Release);
-        let line = format!("shutdown mode={mode}");
-        for backend in &self.inner.backends {
-            let _ = control_roundtrip(&backend.addr, &line);
+impl Dispatcher for Coordinator {
+    /// Places and forwards every grid point; refuses with `error` when
+    /// the trace source does not expand (an invalid inline kernel).
+    fn submit(&self, request: &SweepRequest, _client: u64) -> Result<Box<dyn Job>, Response> {
+        let inner = &self.inner;
+        let hash = inner
+            .resolve_hash(&request.source, request.iterations)
+            .map_err(|message| Response::Error {
+                id: Some(request.id.clone()),
+                message,
+            })?;
+        let (tx, rx) = mpsc::channel();
+        let route = Arc::new(RequestRoute {
+            request: request.clone(),
+            hash,
+            tx,
+            cancelled: AtomicBool::new(false),
+        });
+        let grid = request.grid();
+        let remaining = grid.len();
+        for (index, (machine, window, md)) in grid.into_iter().enumerate() {
+            inner.dispatch(PendingPoint {
+                route: Arc::clone(&route),
+                index,
+                machine,
+                window,
+                md,
+                backend: 0,
+                dispatched: Instant::now(),
+                cycles: None,
+                failure: None,
+                avoid: None,
+            });
         }
+        Ok(Box::new(RoutedJob {
+            inner: Arc::clone(inner),
+            route,
+            rx,
+            remaining,
+        }))
     }
 
-    /// Blocks until every dispatched point has settled or `timeout`
-    /// passes; returns whether the routing map drained.
-    #[must_use]
-    pub fn await_settled(&self, timeout: Duration) -> bool {
-        let give_up = Instant::now() + timeout;
-        while self.pending_points() > 0 {
-            if Instant::now() >= give_up {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        true
+    fn note_timeout(&self) {
+        self.inner
+            .coordinator_timeouts
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// The aggregated `stats` reply: the coordinator's own counters
@@ -428,8 +410,7 @@ impl Coordinator {
     /// the per-name *sums* of every live backend's counters (their
     /// per-connection `client_<id>=` fields are dropped — backend-local
     /// connection ids mean nothing fleet-wide).
-    #[must_use]
-    pub fn stats_fields(&self) -> Vec<(String, u64)> {
+    fn stats_fields(&self) -> Vec<(String, u64)> {
         let inner = &self.inner;
         let alive = inner
             .backends
@@ -492,8 +473,7 @@ impl Coordinator {
     /// acknowledgements: `entries` is summed across the fleet, `limit` is
     /// the (shared, since the action reached every backend) reported
     /// bound.  An error response when no backend answered.
-    #[must_use]
-    pub fn cache_action(&self, action: CacheAction) -> Response {
+    fn cache_action(&self, action: CacheAction) -> Response {
         let line = match action {
             CacheAction::Clear => "cache clear".to_string(),
             CacheAction::Limit(Some(n)) => format!("cache limit={n}"),
@@ -528,9 +508,45 @@ impl Coordinator {
             }
         }
     }
+
+    /// Stops admitting sweeps and forwards the shutdown to every backend
+    /// over ephemeral control connections (drain lets their in-flight
+    /// subrequests finish; abort cancels them — either way their `done`
+    /// lines settle this side's accounting).
+    fn shutdown(&self, mode: ShutdownMode) {
+        self.inner.shutting_down.store(true, Ordering::Release);
+        let line = format!("shutdown mode={mode}");
+        for backend in &self.inner.backends {
+            let _ = control_roundtrip(&backend.addr, &line);
+        }
+    }
+
+    fn is_shutting_down(&self) -> bool {
+        self.inner.is_shutting_down()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.pending_points()
+    }
 }
 
 impl CoordInner {
+    fn new(backends: Vec<Backend>) -> CoordInner {
+        CoordInner {
+            partitioner: Partitioner::new(backends.len()),
+            backends,
+            pending: Mutex::new(HashMap::new()),
+            hashes: Mutex::new(HashMap::new()),
+            next_subid: AtomicU64::new(1),
+            shutting_down: AtomicBool::new(false),
+            forwarded_points: AtomicU64::new(0),
+            redispatched_points: AtomicU64::new(0),
+            backend_deaths: AtomicU64::new(0),
+            backend_reply_errors: AtomicU64::new(0),
+            coordinator_timeouts: AtomicU64::new(0),
+        }
+    }
+
     /// The routing map, recovering from poisoning (every mutation under
     /// it is transactional: whole-entry inserts and removes).
     fn lock_pending(&self) -> MutexGuard<'_, HashMap<String, PendingPoint>> {
@@ -596,7 +612,7 @@ impl CoordInner {
     fn dispatch(&self, mut point: PendingPoint) {
         loop {
             if point.route.cancelled.load(Ordering::Acquire) || self.is_shutting_down() {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                point.settle(Outcome::Skipped);
                 return;
             }
             let digest = cache_key_digest(point.route.hash, point.machine, point.window, point.md);
@@ -614,8 +630,7 @@ impl CoordInner {
                 None => self.partitioner.assign_among(digest, eligible),
             };
             let Some(backend) = choice else {
-                let _ = point.route.tx.send(CoordEvent::Failed {
-                    index: point.index,
+                point.settle(Outcome::Failed {
                     message: "no backends available".to_string(),
                 });
                 return;
@@ -624,7 +639,7 @@ impl CoordInner {
             let line = subrequest_line(&point, &subid);
             point.backend = backend;
             point.dispatched = Instant::now();
-            point.delivered = false;
+            point.cycles = None;
             point.failure = None;
             {
                 let mut pending = self.lock_pending();
@@ -683,13 +698,15 @@ impl CoordInner {
                 .collect()
         };
         for point in swept {
-            if point.delivered {
-                // The point line made it to the client before the backend
-                // died; only the `cached` flag is lost.  Settle it as
-                // delivered, uncached.
-                let _ = point.route.tx.send(CoordEvent::Settled { cached: false });
+            if let Some(cycles) = point.cycles {
+                // The point line arrived before the backend died; only the
+                // `cached` flag is lost.  Settle it as delivered, uncached.
+                point.settle(Outcome::Point {
+                    cycles,
+                    cached: false,
+                });
             } else if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                point.settle(Outcome::Skipped);
             } else {
                 self.redispatch(point);
             }
@@ -727,23 +744,12 @@ impl CoordInner {
         }
     }
 
-    /// A backend `point` line: forward it to the request's drainer (once)
-    /// and await the subrequest's `done` for settlement.  The send
-    /// happens under the routing lock so a later settlement by another
-    /// thread cannot overtake it in the drainer's queue.
+    /// A backend `point` line: hold its cycles until the subrequest's
+    /// `done` settles the point (the backend writes it straight after).
     fn note_point(&self, subid: &str, cycles: Cycle) {
         let mut pending = self.lock_pending();
         if let Some(point) = pending.get_mut(subid) {
-            if !point.delivered {
-                point.delivered = true;
-                let _ = point.route.tx.send(CoordEvent::Point {
-                    index: point.index,
-                    machine: point.machine,
-                    window: point.window,
-                    md: point.md,
-                    cycles,
-                });
-            }
+            point.cycles = Some(cycles);
         }
     }
 
@@ -784,31 +790,26 @@ impl CoordInner {
             let mut pending = self.lock_pending();
             pending.remove(subid)
         };
-        let Some(mut point) = reclaimed else {
+        let Some(point) = reclaimed else {
             return;
         };
-        if delivered > 0 && point.delivered {
-            let _ = point
-                .route
-                .tx
-                .send(CoordEvent::Settled { cached: cached > 0 });
-        } else if failed > 0 {
-            let message = point
-                .failure
-                .take()
-                .map(|m| strip_point_prefix(&m))
-                .unwrap_or_else(|| "backend simulation failed".to_string());
-            let _ = point.route.tx.send(CoordEvent::Failed {
-                index: point.index,
-                message,
+        if let Some(cycles) = point.cycles.filter(|_| delivered > 0) {
+            point.settle(Outcome::Point {
+                cycles,
+                cached: cached > 0,
             });
+        } else if failed > 0 {
+            let message = point.failure.as_deref().map_or_else(
+                || "backend simulation failed".to_string(),
+                strip_point_prefix,
+            );
+            point.settle(Outcome::Failed { message });
         } else if point.route.cancelled.load(Ordering::Acquire) {
-            let event = if aborted > 0 {
-                CoordEvent::Aborted
+            point.settle(if aborted > 0 {
+                Outcome::Aborted
             } else {
-                CoordEvent::Skipped
-            };
-            let _ = point.route.tx.send(event);
+                Outcome::Skipped
+            });
         } else {
             // Dropped or aborted without our cancel (backend-side abort),
             // or delivered by the backend without a parsable point line:
@@ -844,7 +845,7 @@ impl CoordInner {
             let mut pending = self.lock_pending();
             let subids: Vec<String> = pending
                 .iter()
-                .filter(|(_, p)| !p.delivered && p.dispatched.elapsed() >= self.retry_timeout)
+                .filter(|(_, p)| p.cycles.is_none() && p.dispatched.elapsed() >= RETRY_TIMEOUT)
                 .map(|(subid, _)| subid.clone())
                 .collect();
             subids
@@ -855,7 +856,7 @@ impl CoordInner {
         for mut point in expired {
             self.coordinator_timeouts.fetch_add(1, Ordering::Relaxed);
             if point.route.cancelled.load(Ordering::Acquire) {
-                let _ = point.route.tx.send(CoordEvent::Skipped);
+                point.settle(Outcome::Skipped);
             } else {
                 point.avoid = Some(point.backend);
                 self.redispatch(point);
@@ -939,376 +940,5 @@ fn control_roundtrip(addr: &str, line: &str) -> Option<String> {
         None
     } else {
         Some(reply)
-    }
-}
-
-/// One in-flight request of a coordinator connection, as its reader loop
-/// tracks it.
-struct ActiveRoute {
-    route: Arc<RequestRoute>,
-    finished: Arc<AtomicBool>,
-}
-
-/// The request's grid in canonical order (machines outermost, then
-/// windows, then MDs) — the same order a backend's
-/// [`SweepRequest::points`] produces, minus the pinned trace id the
-/// coordinator never has.
-fn grid(request: &SweepRequest) -> Vec<(Machine, WindowSpec, Cycle)> {
-    let mut points =
-        Vec::with_capacity(request.machines.len() * request.windows.len() * request.mds.len());
-    for &machine in &request.machines {
-        for &window in &request.windows {
-            for &md in &request.mds {
-                points.push((machine, window, md));
-            }
-        }
-    }
-    points
-}
-
-/// Serves one client connection of the coordinator: the same protocol as
-/// [`crate::serve_connection`], with sweeps fanned out across the backend
-/// fleet instead of submitted to a local session.  Several sweeps may be
-/// in flight at once (each merges on its own drainer thread); the call
-/// returns once the input is exhausted *and* every request has written
-/// its `done` line.
-///
-/// # Errors
-///
-/// Propagates read errors on the request stream; client-side write errors
-/// only cancel the affected request.
-pub fn serve_coordinator_connection<R, W>(
-    coordinator: &Arc<Coordinator>,
-    reader: R,
-    writer: W,
-) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let writer = Mutex::new(writer);
-    std::thread::scope(|scope| {
-        let mut active: HashMap<String, ActiveRoute> = HashMap::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_request(&line) {
-                Err(e) => {
-                    crate::server::write_line(
-                        &writer,
-                        &Response::Error {
-                            id: e.id,
-                            message: e.message,
-                        },
-                    );
-                }
-                Ok(Request::Stats) => {
-                    crate::server::write_line(
-                        &writer,
-                        &Response::Stats {
-                            fields: coordinator.stats_fields(),
-                        },
-                    );
-                }
-                Ok(Request::Cache { action }) => {
-                    crate::server::write_line(&writer, &coordinator.cache_action(action));
-                }
-                Ok(Request::Shutdown { mode }) => {
-                    coordinator.shutdown(mode);
-                    crate::server::write_line(&writer, &Response::Shutdown { mode });
-                    // Stop reading: nothing this connection could send
-                    // would be admitted.  The scope still joins the
-                    // in-flight drainers, so their `done` lines land.
-                    break;
-                }
-                Ok(Request::Cancel { id }) => match active.get(&id) {
-                    Some(request) if !request.finished.load(Ordering::Acquire) => {
-                        coordinator.inner.cancel_route(&request.route);
-                        crate::server::write_line(&writer, &Response::Cancelled { id });
-                    }
-                    _ => {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(id),
-                                message: "no such active request".to_string(),
-                            },
-                        );
-                    }
-                },
-                Ok(Request::Sweep(request)) => {
-                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
-                    if active.contains_key(&request.id) {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "request id already active".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    if coordinator.is_shutting_down() {
-                        crate::server::write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "server is shutting down; not accepting new sweeps"
-                                    .to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    let hash = match coordinator
-                        .inner
-                        .resolve_hash(&request.source, request.iterations)
-                    {
-                        Ok(hash) => hash,
-                        Err(message) => {
-                            crate::server::write_line(
-                                &writer,
-                                &Response::Error {
-                                    id: Some(request.id),
-                                    message,
-                                },
-                            );
-                            continue;
-                        }
-                    };
-                    let (tx, rx) = mpsc::channel();
-                    let route = Arc::new(RequestRoute {
-                        request: request.clone(),
-                        hash,
-                        tx,
-                        cancelled: AtomicBool::new(false),
-                    });
-                    let finished = Arc::new(AtomicBool::new(false));
-                    active.insert(
-                        request.id.clone(),
-                        ActiveRoute {
-                            route: Arc::clone(&route),
-                            finished: Arc::clone(&finished),
-                        },
-                    );
-                    for (index, (machine, window, md)) in grid(&request).into_iter().enumerate() {
-                        coordinator.inner.dispatch(PendingPoint {
-                            route: Arc::clone(&route),
-                            index,
-                            machine,
-                            window,
-                            md,
-                            backend: 0,
-                            dispatched: Instant::now(),
-                            delivered: false,
-                            failure: None,
-                            avoid: None,
-                        });
-                    }
-                    let writer = &writer;
-                    let coordinator = Arc::clone(coordinator);
-                    scope.spawn(move || {
-                        coordinator_drain(&coordinator, &route, &rx, &request, writer);
-                        finished.store(true, Ordering::Release);
-                    });
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-/// Merges one request's point events into the client's response stream:
-/// `point` lines as they arrive (stream) or in grid order at the end
-/// (batch), `error` lines for failed points, and the closing `done` line
-/// with balanced accounting.  A client deadline bounds the whole merge
-/// (expiry cancels the route, residue settles as dropped/aborted,
-/// `status=timeout`); a failed client write cancels the route the same
-/// way dead-client cleanup does on a single server.
-fn coordinator_drain<W: Write>(
-    coordinator: &Arc<Coordinator>,
-    route: &Arc<RequestRoute>,
-    rx: &mpsc::Receiver<CoordEvent>,
-    request: &SweepRequest,
-    writer: &Mutex<W>,
-) {
-    let total = request.machines.len() * request.windows.len() * request.mds.len();
-    let deadline = request
-        .deadline_ms
-        .map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let mut settled = 0usize;
-    let mut delivered = 0usize;
-    let mut delivered_unsettled = 0usize;
-    let mut dropped = 0usize;
-    let mut aborted = 0usize;
-    let mut failed = 0usize;
-    let mut cached = 0u64;
-    let mut batched: Vec<Response> = Vec::new();
-    let mut failures: Vec<Response> = Vec::new();
-    while settled < total {
-        let event = match deadline.filter(|_| !timed_out) {
-            Some(at) => {
-                let budget = at.saturating_duration_since(Instant::now());
-                match rx.recv_timeout(budget) {
-                    Ok(event) => event,
-                    Err(RecvTimeoutError::Timeout) => {
-                        timed_out = true;
-                        coordinator
-                            .inner
-                            .coordinator_timeouts
-                            .fetch_add(1, Ordering::Relaxed);
-                        coordinator.inner.cancel_route(route);
-                        continue;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            None => match rx.recv() {
-                Ok(event) => event,
-                Err(_) => break,
-            },
-        };
-        match event {
-            CoordEvent::Point {
-                index,
-                machine,
-                window,
-                md,
-                cycles,
-            } => {
-                delivered += 1;
-                delivered_unsettled += 1;
-                let line = Response::Point {
-                    id: request.id.clone(),
-                    index,
-                    machine,
-                    window,
-                    md,
-                    cycles,
-                };
-                match request.mode {
-                    DeliveryMode::Stream => {
-                        if !crate::server::write_line(writer, &line) {
-                            // The client is gone: stop the fleet working
-                            // on what no one will read.
-                            coordinator.inner.cancel_route(route);
-                        }
-                    }
-                    DeliveryMode::Batch => batched.push(line),
-                }
-            }
-            CoordEvent::Settled { cached: was_cached } => {
-                settled += 1;
-                delivered_unsettled = delivered_unsettled.saturating_sub(1);
-                cached += u64::from(was_cached);
-            }
-            CoordEvent::Failed { index, message } => {
-                settled += 1;
-                failed += 1;
-                let line = Response::Error {
-                    id: Some(request.id.clone()),
-                    message: format!("point {index} failed: {message}"),
-                };
-                match request.mode {
-                    DeliveryMode::Stream => {
-                        if !crate::server::write_line(writer, &line) {
-                            coordinator.inner.cancel_route(route);
-                        }
-                    }
-                    DeliveryMode::Batch => failures.push(line),
-                }
-            }
-            CoordEvent::Skipped => {
-                settled += 1;
-                dropped += 1;
-            }
-            CoordEvent::Aborted => {
-                settled += 1;
-                aborted += 1;
-            }
-        }
-    }
-    // Channel loss (every sender dropped with points unsettled) cannot
-    // happen while the route is registered, but the accounting must
-    // balance even then: the shortfall minus the already-delivered
-    // stragglers counts as dropped.
-    if settled < total {
-        let shortfall = total - settled;
-        dropped += shortfall.saturating_sub(delivered_unsettled);
-    }
-    if request.mode == DeliveryMode::Batch {
-        batched.sort_by_key(|line| match line {
-            Response::Point { index, .. } => *index,
-            _ => usize::MAX,
-        });
-        for line in &batched {
-            crate::server::write_line(writer, line);
-        }
-        for line in &failures {
-            crate::server::write_line(writer, line);
-        }
-    }
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    let _ = crate::server::write_line(
-        writer,
-        &Response::Done {
-            id: request.id.clone(),
-            points: total,
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
-            status,
-        },
-    );
-}
-
-/// Accepts TCP connections for the coordinator until a `shutdown` request
-/// arrives (from any connection), serving each on its own thread — the
-/// coordinator-mode sibling of [`crate::serve_tcp`].
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-pub fn serve_coordinator_tcp(
-    coordinator: &Arc<Coordinator>,
-    listener: &TcpListener,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if coordinator.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let coordinator = Arc::clone(coordinator);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_coordinator_connection(&coordinator, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-            Err(e) => return Err(e),
-        }
     }
 }

@@ -23,12 +23,9 @@
 //!                                backends by consistent hashing on each
 //!                                point's sweep-cache key, and points lost to
 //!                                a dead backend are re-dispatched to the
-//!                                survivors (composes with --stdin or --tcp;
-//!                                the session flags do not apply — caching
+//!                                survivors (composes with every mode; the
+//!                                session flags do not apply — caching
 //!                                happens on the backends)
-//!       --retry-timeout-ms N     coordinator only: re-dispatch a point that
-//!                                sat undelivered on one backend this long
-//!                                (default 30000)
 //! ```
 //!
 //! The wire format is specified in `docs/PROTOCOL.md`.  Diagnostics go to
@@ -41,9 +38,9 @@
 
 use dae_core::SweepSession;
 use dae_serve::{
-    await_drained, serve_connection, serve_coordinator_connection, serve_coordinator_tcp,
-    serve_local, serve_tcp, Coordinator, CoordinatorConfig, SweepServer,
+    await_drained, serve_connection, serve_local, serve_tcp, Coordinator, Dispatcher, SweepServer,
 };
+use std::fmt::Display;
 use std::io::BufReader;
 use std::net::TcpListener;
 use std::process::ExitCode;
@@ -63,8 +60,7 @@ enum Mode {
 fn usage() -> ExitCode {
     eprintln!(
         "usage: dae-serve [--stdin | --tcp ADDR | --unix PATH | --local FILE] \
-         [--no-cache] [--cache-dir DIR] \
-         [--coordinator B1,B2,... [--retry-timeout-ms N]]"
+         [--no-cache] [--cache-dir DIR] [--coordinator B1,B2,...]"
     );
     ExitCode::from(2)
 }
@@ -74,7 +70,6 @@ fn main() -> ExitCode {
     let mut cache = true;
     let mut cache_dir: Option<String> = None;
     let mut backends: Option<Vec<String>> = None;
-    let mut retry_timeout_ms: Option<u64> = None;
     let mut session_flags = false;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -119,33 +114,27 @@ fn main() -> ExitCode {
                 }
                 None => return usage(),
             },
-            "--retry-timeout-ms" => match args.next().and_then(|n| n.parse().ok()) {
-                Some(ms) if ms > 0 => retry_timeout_ms = Some(ms),
-                _ => return usage(),
-            },
             _ => return usage(),
         }
     }
 
     if let Some(backends) = backends {
         // Coordinator mode owns no session: the session flags belong to the
-        // backends, and the file-driven oracle / unix modes are not wired.
+        // backends.
         if session_flags {
             eprintln!(
-                "dae-serve: --coordinator composes with --stdin or --tcp only; \
+                "dae-serve: --coordinator takes no session flags; \
                  pass --no-cache / --cache-dir to the backends instead"
             );
             return ExitCode::from(2);
         }
-        if matches!(mode, Mode::Unix(_) | Mode::Local(_)) {
-            eprintln!("dae-serve: --coordinator composes with --stdin or --tcp only");
-            return ExitCode::from(2);
-        }
-        return run_coordinator(&backends, retry_timeout_ms, &mode);
-    }
-    if retry_timeout_ms.is_some() {
-        eprintln!("dae-serve: --retry-timeout-ms needs --coordinator");
-        return ExitCode::from(2);
+        return match Coordinator::connect(&backends) {
+            Ok(coordinator) => {
+                let label = format!("coordinating {} backends", backends.len());
+                run(&Arc::new(coordinator), mode, &label, || Ok(()))
+            }
+            Err(e) => fail(e),
+        };
     }
 
     if cache_dir.is_some() && !cache {
@@ -160,147 +149,89 @@ fn main() -> ExitCode {
             Ok(loaded) => {
                 eprintln!("dae-serve: cache store {dir} attached ({loaded} records loaded)")
             }
-            Err(e) => {
-                eprintln!("dae-serve: cannot attach cache store {dir}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("cannot attach cache store {dir}: {e}")),
         }
     }
+    let label = format!("cache {}", if cache { "on" } else { "off" });
+    run(&server, mode, &label, || match cache_dir {
+        // Compact the persistent log down to the resident entries so the
+        // next launch replays exactly the warm set.
+        Some(_) => server
+            .persist_cache()
+            .map_err(|e| format!("cache store compaction failed: {e}")),
+        None => Ok(()),
+    })
+}
 
+/// Serves `mode` over either dispatcher, gives a shutdown's in-flight work
+/// a bounded window to settle, then runs `on_exit` (which therefore sees
+/// every exit path's work settled).
+fn run<D: Dispatcher>(
+    dispatcher: &Arc<D>,
+    mode: Mode,
+    label: &str,
+    on_exit: impl FnOnce() -> Result<(), String>,
+) -> ExitCode {
     let result = match mode {
         Mode::Stdin => {
-            eprintln!("dae-serve: serving stdin (cache {})", on_off(cache));
-            serve_connection(&server, std::io::stdin().lock(), std::io::stdout())
+            eprintln!("dae-serve: serving stdin ({label})");
+            serve_connection(dispatcher, std::io::stdin().lock(), std::io::stdout())
         }
         Mode::Tcp(addr) => match TcpListener::bind(&addr) {
             Ok(listener) => {
                 eprintln!(
-                    "dae-serve: listening on tcp {} (cache {})",
+                    "dae-serve: listening on tcp {} ({label})",
                     listener.local_addr().map_or(addr, |a| a.to_string()),
-                    on_off(cache)
                 );
-                serve_tcp(&server, &listener)
+                serve_tcp(dispatcher, &listener)
             }
-            Err(e) => {
-                eprintln!("dae-serve: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return fail(format!("cannot bind {addr}: {e}")),
         },
-        Mode::Unix(path) => serve_unix_at(&server, &path, cache),
+        Mode::Unix(path) => serve_unix_at(dispatcher, &path, label),
         Mode::Local(path) => match std::fs::File::open(&path) {
-            Ok(file) => serve_local(&server, BufReader::new(file), std::io::stdout()),
-            Err(e) => {
-                eprintln!("dae-serve: cannot open {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+            Ok(file) => serve_local(dispatcher, BufReader::new(file), std::io::stdout()),
+            Err(e) => return fail(format!("cannot open {path}: {e}")),
         },
     };
     // Socket modes return from their accept loops when a `shutdown`
     // request arrives; give the in-flight drainers a bounded window to
     // write their final `done` lines before the process exits.
-    if server.is_shutting_down() && !await_drained(&server, DRAIN_TIMEOUT) {
-        eprintln!("dae-serve: shutdown drain timed out with work still queued");
-        return ExitCode::FAILURE;
+    if dispatcher.is_shutting_down() && !await_drained(dispatcher, DRAIN_TIMEOUT) {
+        return fail("shutdown drain timed out with work still queued");
     }
-    // Compact the persistent log down to the resident entries so the next
-    // launch replays exactly the warm set.  Every exit path above has
-    // settled in-flight work by now.
-    if cache_dir.is_some() {
-        if let Err(e) = server.persist_cache() {
-            eprintln!("dae-serve: cache store compaction failed: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = on_exit() {
+        return fail(e);
     }
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dae-serve: {e}");
-            ExitCode::FAILURE
-        }
+        Err(e) => fail(e),
     }
 }
 
-/// Runs the binary as a shard coordinator over `backends` (see the crate
-/// docs and `docs/PROTOCOL.md` § "Shard coordinator").
-fn run_coordinator(backends: &[String], retry_timeout_ms: Option<u64>, mode: &Mode) -> ExitCode {
-    let mut config = CoordinatorConfig::default();
-    if let Some(ms) = retry_timeout_ms {
-        config.retry_timeout = Duration::from_millis(ms);
-    }
-    let coordinator = match Coordinator::connect_with(backends, config) {
-        Ok(coordinator) => Arc::new(coordinator),
-        Err(e) => {
-            eprintln!("dae-serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let result = match mode {
-        Mode::Stdin => {
-            eprintln!(
-                "dae-serve: coordinating {} backends on stdin",
-                backends.len()
-            );
-            serve_coordinator_connection(&coordinator, std::io::stdin().lock(), std::io::stdout())
-        }
-        Mode::Tcp(addr) => match TcpListener::bind(addr) {
-            Ok(listener) => {
-                eprintln!(
-                    "dae-serve: listening on tcp {} (coordinating {} backends)",
-                    listener
-                        .local_addr()
-                        .map_or_else(|_| addr.clone(), |a| a.to_string()),
-                    backends.len()
-                );
-                serve_coordinator_tcp(&coordinator, &listener)
-            }
-            Err(e) => {
-                eprintln!("dae-serve: cannot bind {addr}: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        // main() refused these combinations already.
-        Mode::Unix(_) | Mode::Local(_) => {
-            eprintln!("dae-serve: --coordinator composes with --stdin or --tcp only");
-            return ExitCode::from(2);
-        }
-    };
-    // Mirror the single-server drain: give re-dispatches and in-flight
-    // backend work a bounded window to settle before exiting.
-    if coordinator.is_shutting_down() && !coordinator.await_settled(DRAIN_TIMEOUT) {
-        eprintln!("dae-serve: shutdown drain timed out with points still pending");
-        return ExitCode::FAILURE;
-    }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("dae-serve: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-fn on_off(enabled: bool) -> &'static str {
-    if enabled {
-        "on"
-    } else {
-        "off"
-    }
+fn fail(message: impl Display) -> ExitCode {
+    eprintln!("dae-serve: {message}");
+    ExitCode::FAILURE
 }
 
 #[cfg(unix)]
-fn serve_unix_at(server: &Arc<SweepServer>, path: &str, cache: bool) -> std::io::Result<()> {
+fn serve_unix_at<D: Dispatcher>(
+    dispatcher: &Arc<D>,
+    path: &str,
+    label: &str,
+) -> std::io::Result<()> {
     // A previous run's socket file would make the bind fail.
     let _ = std::fs::remove_file(path);
     let listener = std::os::unix::net::UnixListener::bind(path)?;
-    eprintln!(
-        "dae-serve: listening on unix {path} (cache {})",
-        on_off(cache)
-    );
-    dae_serve::serve_unix(server, &listener)
+    eprintln!("dae-serve: listening on unix {path} ({label})");
+    dae_serve::serve_unix(dispatcher, &listener)
 }
 
 #[cfg(not(unix))]
-fn serve_unix_at(_server: &Arc<SweepServer>, _path: &str, _cache: bool) -> std::io::Result<()> {
+fn serve_unix_at<D: Dispatcher>(
+    _dispatcher: &Arc<D>,
+    _path: &str,
+    _label: &str,
+) -> std::io::Result<()> {
     Err(std::io::Error::other(
         "unix-domain sockets are not available on this platform",
     ))

@@ -229,20 +229,29 @@ pub struct SweepRequest {
 
 impl SweepRequest {
     /// The request's grid in canonical order — machines outermost, then
-    /// windows, then memory differentials — addressed at the pinned
-    /// lowering `id`.  `point` responses carry this order's index.
+    /// windows, then memory differentials.  `point` responses carry this
+    /// order's index.
     #[must_use]
-    pub fn points(&self, id: TraceId) -> Vec<SweepPoint> {
-        let mut points =
+    pub fn grid(&self) -> Vec<(Machine, WindowSpec, Cycle)> {
+        let mut grid =
             Vec::with_capacity(self.machines.len() * self.windows.len() * self.mds.len());
         for &machine in &self.machines {
             for &window in &self.windows {
                 for &md in &self.mds {
-                    points.push((id, machine, window, md));
+                    grid.push((machine, window, md));
                 }
             }
         }
-        points
+        grid
+    }
+
+    /// [`SweepRequest::grid`] addressed at the pinned lowering `id`.
+    #[must_use]
+    pub fn points(&self, id: TraceId) -> Vec<SweepPoint> {
+        self.grid()
+            .into_iter()
+            .map(|(machine, window, md)| (id, machine, window, md))
+            .collect()
     }
 }
 

@@ -1,4 +1,4 @@
-//! The serving layer: one shared [`SweepSession`] multiplexed across
+//! The local dispatcher: one shared [`SweepSession`] multiplexed across
 //! client connections.
 //!
 //! A [`SweepServer`] owns the session (and a map resolving request trace
@@ -12,13 +12,8 @@
 //! connection's client id: the pool serves interactive jobs before queued
 //! bulk grids and interleaves clients round-robin within a band.
 //!
-//! Each connection runs [`serve_connection`]: a reader loop that parses
-//! request lines and, per sweep, a detached *drainer* thread that copies
-//! the stream's results to the connection writer as tagged `point` lines
-//! (stream mode) or in grid order once complete (batch mode), followed by
-//! a `done` line.  Because every line is tagged with its request id, a
-//! client may keep several sweeps in flight and cancel any of them
-//! mid-flight ([`CancelToken`]).
+//! The connection loop, the drain and the accept loops live in
+//! [`crate::dispatch`]; this module is the [`Dispatcher`] they drive.
 //!
 //! ## Fault tolerance
 //!
@@ -45,20 +40,17 @@
 //!   either drains or aborts in-flight work; the accept loops exit and the
 //!   binary terminates once the queue is empty.
 
-use crate::protocol::{
-    parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
-    SweepRequest,
-};
+use crate::dispatch::{Canceller, Dispatcher, Job, Outcome, Wait};
+use crate::protocol::{CacheAction, Response, ShutdownMode, SweepRequest};
 use dae_core::{
     CancelToken, RequestClass, StreamWait, SweepEvent, SweepSession, SweepStream, TraceId,
 };
 use dae_machines::pool_diagnostics;
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::TcpListener;
+use std::io;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Admission-control bounds for a [`SweepServer`].
 ///
@@ -86,35 +78,17 @@ impl Default for ServerLimits {
     }
 }
 
-/// Why a submission was refused (see [`SweepServer::submit_for`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SubmitError {
-    /// Admission control refused the sweep: too much is already queued
-    /// against `limit`.  Nothing was submitted; retry after the hint.
-    Busy {
-        /// Points currently counted against the exceeded limit.
-        queued: usize,
-        /// The exceeded limit.
-        limit: usize,
-        /// Retry hint, in milliseconds.
-        retry_after_ms: u64,
-    },
-    /// The request is invalid (bad inline kernel) or the server is
-    /// shutting down.
-    Rejected(String),
-}
-
 /// A long-lived sweep service over one shared [`SweepSession`].
 ///
 /// Clone-free sharing: wrap it in an [`Arc`] and hand it to any number of
-/// connection handlers ([`serve_connection`], [`serve_tcp`],
-/// [`serve_unix`]).
+/// connection handlers ([`crate::serve_connection`],
+/// [`crate::serve_tcp`], `serve_unix`).
 #[derive(Debug)]
 pub struct SweepServer {
     state: Mutex<ServerState>,
     limits: ServerLimits,
     /// Points queued or running across all clients (admission increments
-    /// under the state lock; drainers decrement as events settle).
+    /// under the state lock; jobs decrement as events settle).
     queue_depth: Arc<AtomicUsize>,
     shutting_down: AtomicBool,
     /// Monotone fault-path counters, reported by `stats`.
@@ -142,8 +116,8 @@ struct ServerState {
 }
 
 /// Releases a submission's admission reservation: one point at a time as
-/// the drainer settles events, and whatever remains when the submission is
-/// dropped (so a stream abandoned mid-way cannot leak queue depth).
+/// events settle, and whatever remains when the submission is dropped (so
+/// a stream abandoned mid-way cannot leak queue depth).
 #[derive(Debug)]
 struct AdmissionGuard {
     global: Arc<AtomicUsize>,
@@ -171,48 +145,53 @@ impl Drop for AdmissionGuard {
     }
 }
 
-/// A submitted sweep: the result stream plus the handle that cancels it.
+/// A submitted sweep: the result stream, the token that cancels it, and
+/// its admission reservation.
 #[derive(Debug)]
-pub struct Submission {
-    /// Per-point results, in completion order.
-    pub stream: SweepStream,
-    /// Cancels this request: pending points are skipped, running points
-    /// abort mid-simulation.
-    pub token: CancelToken,
-    /// Admission bookkeeping (released per settled event, remainder on
-    /// drop).
+struct Submission {
+    stream: SweepStream,
+    token: CancelToken,
     guard: AdmissionGuard,
     /// Liveness handle for the server's shutdown registry.
     _live: Arc<()>,
 }
 
-/// One connection's registration with the server: its identity in
-/// `stats` (`client_<id>=<in_flight>`) and the counter admission control
-/// charges its sweeps against.  Deregisters on drop.
-#[derive(Debug)]
-pub struct ClientGuard<'a> {
-    server: &'a SweepServer,
-    id: u64,
-    in_flight: Arc<AtomicUsize>,
-}
-
-impl ClientGuard<'_> {
-    /// The server-assigned client id.
-    #[must_use]
-    pub fn id(&self) -> u64 {
-        self.id
+impl Job for Submission {
+    fn next(&mut self, deadline: Option<Instant>) -> Wait {
+        let event = match deadline {
+            Some(at) => {
+                let budget = at.saturating_duration_since(Instant::now());
+                match self.stream.next_event_timeout(budget) {
+                    StreamWait::Event(event) => event,
+                    StreamWait::TimedOut => return Wait::TimedOut,
+                    StreamWait::Exhausted => return Wait::Exhausted,
+                }
+            }
+            None => match self.stream.next_event() {
+                Some(event) => event,
+                None => return Wait::Exhausted,
+            },
+        };
+        self.guard.release(1);
+        match event {
+            SweepEvent::Point(point) => Wait::Settled(
+                point.index,
+                Outcome::Point {
+                    cycles: point.cycles,
+                    cached: point.cached,
+                },
+            ),
+            SweepEvent::Skipped { index } => Wait::Settled(index, Outcome::Skipped),
+            SweepEvent::Aborted { index } => Wait::Settled(index, Outcome::Aborted),
+            SweepEvent::Failed { index, message } => {
+                Wait::Settled(index, Outcome::Failed { message })
+            }
+        }
     }
 
-    /// Points this client currently has queued or running.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::Relaxed)
-    }
-}
-
-impl Drop for ClientGuard<'_> {
-    fn drop(&mut self) {
-        self.server.lock_state().clients.remove(&self.id);
+    fn canceller(&self) -> Canceller {
+        let token = self.token.clone();
+        Arc::new(move || token.cancel())
     }
 }
 
@@ -271,13 +250,6 @@ impl SweepServer {
         self.queue_depth.load(Ordering::Relaxed)
     }
 
-    /// Whether a `shutdown` request has been accepted (new sweeps are
-    /// refused from then on).
-    #[must_use]
-    pub fn is_shutting_down(&self) -> bool {
-        self.shutting_down.load(Ordering::Acquire)
-    }
-
     /// The server state, recovering from mutex poisoning.  Every mutation
     /// under this lock is transactional (insertions of whole entries,
     /// counter bumps), so a panicking holder cannot leave torn state — and
@@ -287,120 +259,20 @@ impl SweepServer {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Registers a connection for per-client admission accounting and
-    /// `stats` visibility.
-    #[must_use]
-    pub fn register_client(&self) -> ClientGuard<'_> {
-        let mut state = self.lock_state();
-        let id = state.next_client;
-        state.next_client += 1;
-        let in_flight = Arc::new(AtomicUsize::new(0));
-        state.clients.insert(id, Arc::clone(&in_flight));
-        ClientGuard {
-            server: self,
-            id,
-            in_flight,
-        }
-    }
-
-    /// Stops admitting sweeps.  `Drain` lets in-flight work finish;
-    /// `Abort` additionally cancels every live submission (their `done`
-    /// lines still arrive, with the usual balanced accounting).
-    pub fn shutdown(&self, mode: ShutdownMode) {
-        self.shutting_down.store(true, Ordering::Release);
-        if mode == ShutdownMode::Abort {
-            let mut state = self.lock_state();
-            state.active.retain(|(live, token)| {
-                if live.upgrade().is_some() {
-                    token.cancel();
-                    true
-                } else {
-                    false
-                }
-            });
-        }
-    }
-
-    /// [`SweepServer::submit_for`] without a client registration —
-    /// admission is checked against the global queue only.
-    ///
-    /// # Errors
-    ///
-    /// See [`SweepServer::submit_for`].
-    pub fn submit(&self, request: &SweepRequest) -> Result<Submission, SubmitError> {
-        self.submit_for(request, None)
-    }
-
-    /// Submits a sweep request: checks admission, resolves (pinning on
-    /// first sight) the trace source, enqueues the grid on the shared
-    /// session, and returns the result stream with its cancellation
-    /// token.  Returns as soon as the points are queued — results arrive
-    /// on the stream as workers finish.
-    ///
-    /// # Errors
-    ///
-    /// [`SubmitError::Busy`] when the global queue-depth cap or the
-    /// client's in-flight cap would be exceeded (nothing is submitted);
-    /// [`SubmitError::Rejected`] for invalid inline kernels and for any
-    /// sweep after shutdown began.
-    pub fn submit_for(
+    /// The admission check and reservation (caller holds the state lock,
+    /// so the check-then-reserve pair is exact: only submissions increment
+    /// the depth counters, and jobs decrementing concurrently can only
+    /// make room).  A refusal is the request's `busy` line.
+    fn admit(
         &self,
         request: &SweepRequest,
-        client: Option<&ClientGuard<'_>>,
-    ) -> Result<Submission, SubmitError> {
-        if self.is_shutting_down() {
-            return Err(SubmitError::Rejected(
-                "server is shutting down; not accepting new sweeps".to_string(),
-            ));
-        }
-        let points = request.machines.len() * request.windows.len() * request.mds.len();
-        let key = (request.source.key(), request.iterations);
-        // Admission + fast-path submit under one brief lock.  Only
-        // submissions (which hold the lock) increment the depth counters,
-        // so the check-then-reserve pair is exact; drainers decrementing
-        // concurrently can only make room, never take it.
-        // Jobs are tagged with the connection's client id, so the pool's
-        // fair-share rotor interleaves concurrent clients round-robin
-        // within a priority band (clientless submissions share queue 0).
-        let client_id = client.map_or(0, |c| c.id());
-        let reserved = {
-            let mut state = self.lock_state();
-            self.admit(points, client)?;
-            let guard = self.reserve(points, client);
-            if let Some(&id) = state.programs.get(&key) {
-                return Ok(Self::enqueue(&mut state, request, id, client_id, guard));
-            }
-            guard
-        };
-        // First sight: trace expansion and lowering are pure and can take
-        // whole milliseconds at large iteration counts, so they run
-        // *outside* the lock — a client pinning a big program must not
-        // stall every other client's submissions.  The reservation above
-        // stays held: the points are committed capacity either way.
-        let trace = request
-            .source
-            .trace(request.iterations)
-            .map_err(SubmitError::Rejected)?;
-        let lowered = dae_core::LoweredTrace::new(&trace);
-        let mut state = self.lock_state();
-        let id = match state.programs.get(&key) {
-            // Another client pinned the same source while we lowered; use
-            // theirs (and drop ours) so both share one cache identity.
-            Some(&id) => id,
-            None => {
-                let id = state.session.pin_lowered(lowered);
-                state.programs.insert(key, id);
-                id
-            }
-        };
-        Ok(Self::enqueue(&mut state, request, id, client_id, reserved))
-    }
-
-    /// The admission check (caller holds the state lock).
-    fn admit(&self, points: usize, client: Option<&ClientGuard<'_>>) -> Result<(), SubmitError> {
+        points: usize,
+        client: Option<Arc<AtomicUsize>>,
+    ) -> Result<AdmissionGuard, Response> {
         let busy = |queued: usize, limit: usize| {
             self.busy_rejections.fetch_add(1, Ordering::Relaxed);
-            Err(SubmitError::Busy {
+            Err(Response::Busy {
+                id: request.id.clone(),
                 queued,
                 limit,
                 retry_after_ms: self.limits.retry_after_ms,
@@ -410,28 +282,19 @@ impl SweepServer {
         if depth + points > self.limits.max_queue_depth {
             return busy(depth, self.limits.max_queue_depth);
         }
-        if let Some(client) = client {
-            let in_flight = client.in_flight.load(Ordering::Relaxed);
+        if let Some(client) = &client {
+            let in_flight = client.load(Ordering::Relaxed);
             if in_flight + points > self.limits.max_client_in_flight {
                 return busy(in_flight, self.limits.max_client_in_flight);
             }
+            client.fetch_add(points, Ordering::Relaxed);
         }
-        Ok(())
-    }
-
-    /// Reserves `points` of queue capacity (caller holds the state lock
-    /// and has passed [`SweepServer::admit`]).
-    fn reserve(&self, points: usize, client: Option<&ClientGuard<'_>>) -> AdmissionGuard {
         self.queue_depth.fetch_add(points, Ordering::Relaxed);
-        let client = client.map(|c| {
-            c.in_flight.fetch_add(points, Ordering::Relaxed);
-            Arc::clone(&c.in_flight)
-        });
-        AdmissionGuard {
+        Ok(AdmissionGuard {
             global: Arc::clone(&self.queue_depth),
             client,
             remaining: points,
-        }
+        })
     }
 
     /// Enqueues the request's grid on the locked session and registers the
@@ -440,38 +303,22 @@ impl SweepServer {
         state: &mut ServerState,
         request: &SweepRequest,
         id: TraceId,
-        client_id: u64,
+        client: u64,
         guard: AdmissionGuard,
-    ) -> Submission {
+    ) -> Box<dyn Job> {
         let points = request.points(id);
         let token = CancelToken::new();
-        let class = RequestClass::new(request.priority, client_id);
+        let class = RequestClass::new(request.priority, client);
         let stream = state.session.stream_classified(&points, &token, class);
         let live = Arc::new(());
         state.active.retain(|(l, _)| l.upgrade().is_some());
         state.active.push((Arc::downgrade(&live), token.clone()));
-        Submission {
+        Box::new(Submission {
             stream,
             token,
             guard,
             _live: live,
-        }
-    }
-
-    /// Applies a `cache` administration request and reports the cache's
-    /// state afterwards.  `Clear` empties the map, truncates the attached
-    /// store, and fences out every in-flight sweep's inserts; `Limit`
-    /// (re)bounds the resident set, evicting down immediately.
-    pub fn cache_action(&self, action: CacheAction) -> Response {
-        let mut state = self.lock_state();
-        match action {
-            CacheAction::Clear => state.session.clear_cache(),
-            CacheAction::Limit(limit) => state.session.set_cache_limit(limit),
-        }
-        Response::Cache {
-            entries: state.session.cache_stats().entries,
-            limit: state.session.cache_limit(),
-        }
+        })
     }
 
     /// Attaches a persistent cache store rooted at `dir` to the shared
@@ -497,14 +344,91 @@ impl SweepServer {
     pub fn persist_cache(&self) -> io::Result<()> {
         self.lock_state().session.persist_cache()
     }
+}
+
+impl Dispatcher for SweepServer {
+    /// Registers a connection for per-client admission accounting and
+    /// `stats` visibility.
+    fn connect(&self) -> u64 {
+        let mut state = self.lock_state();
+        let id = state.next_client;
+        state.next_client += 1;
+        state.clients.insert(id, Arc::new(AtomicUsize::new(0)));
+        id
+    }
+
+    fn disconnect(&self, client: u64) {
+        self.lock_state().clients.remove(&client);
+    }
+
+    /// Checks admission, resolves (pinning on first sight) the trace
+    /// source, and enqueues the grid on the shared session.  Returns as
+    /// soon as the points are queued — results arrive on the job as
+    /// workers finish.  Refuses with `busy` when the global queue-depth
+    /// cap or the client's in-flight cap would be exceeded, and with
+    /// `error` for an invalid inline kernel.
+    fn submit(&self, request: &SweepRequest, client: u64) -> Result<Box<dyn Job>, Response> {
+        let points = request.machines.len() * request.windows.len() * request.mds.len();
+        let key = (request.source.key(), request.iterations);
+        // Admission + fast-path submit under one brief lock.  Jobs are
+        // tagged with the connection's client id, so the pool's fair-share
+        // rotor interleaves concurrent clients round-robin within a
+        // priority band (clientless submissions share queue 0).
+        let reserved = {
+            let mut state = self.lock_state();
+            let counter = state.clients.get(&client).cloned();
+            let guard = self.admit(request, points, counter)?;
+            if let Some(&id) = state.programs.get(&key) {
+                return Ok(Self::enqueue(&mut state, request, id, client, guard));
+            }
+            guard
+        };
+        // First sight: trace expansion and lowering are pure and can take
+        // whole milliseconds at large iteration counts, so they run
+        // *outside* the lock — a client pinning a big program must not
+        // stall every other client's submissions.  The reservation above
+        // stays held: the points are committed capacity either way.
+        let trace = request
+            .source
+            .trace(request.iterations)
+            .map_err(|message| Response::Error {
+                id: Some(request.id.clone()),
+                message,
+            })?;
+        let lowered = dae_core::LoweredTrace::new(&trace);
+        let mut state = self.lock_state();
+        let id = match state.programs.get(&key) {
+            // Another client pinned the same source while we lowered; use
+            // theirs (and drop ours) so both share one cache identity.
+            Some(&id) => id,
+            None => {
+                let id = state.session.pin_lowered(lowered);
+                state.programs.insert(key, id);
+                id
+            }
+        };
+        Ok(Self::enqueue(&mut state, request, id, client, reserved))
+    }
+
+    fn note_outcome(&self, outcome: &Outcome) {
+        let counter = match outcome {
+            Outcome::Aborted => &self.aborted_points,
+            Outcome::Failed { .. } => &self.failed_points,
+            Outcome::Point { .. } | Outcome::Skipped => return,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn note_timeout(&self) {
+        self.timeout_requests.fetch_add(1, Ordering::Relaxed);
+    }
 
     /// The counters behind the `stats` reply: session activity, pin and
     /// sweep-result cache state, queue depth and per-client in-flight
     /// points, the fault-path counters, and the process-wide
     /// simulation-pool diagnostics (`dae_machines::pool_diagnostics`), in
     /// one flat list.
-    #[must_use]
-    pub fn stats_fields(&self) -> Vec<(String, u64)> {
+    fn stats_fields(&self) -> Vec<(String, u64)> {
         let state = self.lock_state();
         let stats = state.session.stats();
         let cache = state.session.cache_stats();
@@ -571,470 +495,43 @@ impl SweepServer {
         }
         fields
     }
-}
 
-/// One in-flight request of a connection, as the reader loop tracks it.
-struct Active {
-    token: CancelToken,
-    finished: Arc<AtomicBool>,
-}
-
-pub(crate) fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
-    // Poison recovery: a writer is a byte sink whose worst torn state is a
-    // partial line on a connection that is being abandoned anyway.
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    // A failed write means the client went away; callers use the signal to
-    // cancel the work they were relaying.
-    writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_ok()
-}
-
-/// Drains one submission to the shared connection writer: `point` lines
-/// (immediately in stream mode, sorted into grid order in batch mode),
-/// `error` lines for points whose simulation failed, and finally the
-/// request's `done` accounting line with its terminal status.
-///
-/// A deadline, when present, bounds the whole drain: on expiry the token
-/// is cancelled (running points abort mid-simulation) and the residue is
-/// collected with `status=timeout`.  A failed client write likewise
-/// cancels the token — dead-client cleanup stops simulating what no one
-/// will read, *including* the points already running.
-fn drain<W: Write>(
-    server: &SweepServer,
-    mut submission: Submission,
-    id: &str,
-    mode: DeliveryMode,
-    deadline_ms: Option<u64>,
-    writer: &Mutex<W>,
-) {
-    let total = submission.stream.total();
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let mut delivered = 0usize;
-    let mut cached = 0u64;
-    let mut batched: Vec<dae_core::StreamedPoint> = Vec::new();
-    let mut failures: Vec<Response> = Vec::new();
-    let point_line = |p: &dae_core::StreamedPoint| {
-        let (_, machine, window, md) = p.point;
-        Response::Point {
-            id: id.to_string(),
-            index: p.index,
-            machine,
-            window,
-            md,
-            cycles: p.cycles,
+    /// `Clear` empties the map, truncates the attached store, and fences
+    /// out every in-flight sweep's inserts; `Limit` (re)bounds the
+    /// resident set, evicting down immediately.  Replies with the cache's
+    /// state afterwards.
+    fn cache_action(&self, action: CacheAction) -> Response {
+        let mut state = self.lock_state();
+        match action {
+            CacheAction::Clear => state.session.clear_cache(),
+            CacheAction::Limit(limit) => state.session.set_cache_limit(limit),
         }
-    };
-    loop {
-        let event = match deadline.filter(|_| !timed_out) {
-            // Deadline armed: wait only for the remaining budget.
-            Some(at) => {
-                let budget = at.saturating_duration_since(Instant::now());
-                match submission.stream.next_event_timeout(budget) {
-                    StreamWait::Event(event) => event,
-                    StreamWait::Exhausted => break,
-                    StreamWait::TimedOut => {
-                        // Budget spent: cancel (running points abort at
-                        // their next engine poll) and drain the residue
-                        // without a deadline — it settles in microseconds.
-                        timed_out = true;
-                        server.timeout_requests.fetch_add(1, Ordering::Relaxed);
-                        submission.token.cancel();
-                        continue;
-                    }
-                }
-            }
-            None => match submission.stream.next_event() {
-                Some(event) => event,
-                None => break,
-            },
-        };
-        submission.guard.release(1);
-        match event {
-            SweepEvent::Point(point) => {
-                delivered += 1;
-                cached += u64::from(point.cached);
-                match mode {
-                    DeliveryMode::Stream => {
-                        if !write_line(writer, &point_line(&point)) {
-                            // The client is gone: stop simulating what no
-                            // one will read — pending points skip, running
-                            // points abort.  The stream still drains,
-                            // keeping the accounting consistent.
-                            submission.token.cancel();
-                        }
-                    }
-                    DeliveryMode::Batch => batched.push(point),
-                }
-            }
-            SweepEvent::Skipped { .. } => {}
-            SweepEvent::Aborted { .. } => {
-                server.aborted_points.fetch_add(1, Ordering::Relaxed);
-            }
-            SweepEvent::Failed { index, message } => {
-                server.failed_points.fetch_add(1, Ordering::Relaxed);
-                let error = Response::Error {
-                    id: Some(id.to_string()),
-                    message: format!("point {index} failed: {message}"),
-                };
-                match mode {
-                    DeliveryMode::Stream => {
-                        if !write_line(writer, &error) {
-                            submission.token.cancel();
-                        }
-                    }
-                    DeliveryMode::Batch => failures.push(error),
-                }
-            }
+        Response::Cache {
+            entries: state.session.cache_stats().entries,
+            limit: state.session.cache_limit(),
         }
     }
-    if mode == DeliveryMode::Batch {
-        batched.sort_by_key(|p| p.index);
-        for point in &batched {
-            write_line(writer, &point_line(point));
-        }
-        for error in &failures {
-            write_line(writer, error);
+
+    fn shutdown(&self, mode: ShutdownMode) {
+        self.shutting_down.store(true, Ordering::Release);
+        if mode == ShutdownMode::Abort {
+            let mut state = self.lock_state();
+            state.active.retain(|(live, token)| {
+                if live.upgrade().is_some() {
+                    token.cancel();
+                    true
+                } else {
+                    false
+                }
+            });
         }
     }
-    let aborted = submission.stream.aborted();
-    let failed = submission.stream.failed();
-    let dropped = submission.stream.skipped();
-    // One status per request, by severity (see `DoneStatus`).
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    let _ = write_line(
-        writer,
-        &Response::Done {
-            id: id.to_string(),
-            points: total,
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
-            status,
-        },
-    );
-}
 
-/// Serves one client connection: reads newline-delimited requests from
-/// `reader` until end of file, writes tagged responses to `writer`.
-/// Several sweeps may be in flight at once (each drains on its own
-/// thread); the call returns once the input is exhausted *and* every
-/// submitted sweep has written its `done` line.
-///
-/// The connection registers as a client for admission control: its sweeps
-/// are bounded by [`ServerLimits::max_client_in_flight`] and its live
-/// point count appears in `stats` as `client_<id>=`.  A `shutdown`
-/// request stops the whole server admitting new sweeps and, in abort
-/// mode, cancels in-flight work everywhere; this connection then stops
-/// reading further requests (its in-flight drainers still finish).
-///
-/// # Errors
-///
-/// Propagates read errors on the request stream; client-side write errors
-/// only stop the affected response stream.
-pub fn serve_connection<R, W>(server: &Arc<SweepServer>, reader: R, writer: W) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write + Send,
-{
-    let writer = Mutex::new(writer);
-    let client = server.register_client();
-    // Scoped drainer threads: every submitted sweep is joined (its `done`
-    // line written) before this call returns, even on a read error.
-    std::thread::scope(|scope| {
-        let mut active: HashMap<String, Active> = HashMap::new();
-        for line in reader.lines() {
-            let line = line?;
-            if line.trim().is_empty() {
-                continue;
-            }
-            match parse_request(&line) {
-                Err(e) => {
-                    write_line(
-                        &writer,
-                        &Response::Error {
-                            id: e.id,
-                            message: e.message,
-                        },
-                    );
-                }
-                Ok(Request::Stats) => {
-                    write_line(
-                        &writer,
-                        &Response::Stats {
-                            fields: server.stats_fields(),
-                        },
-                    );
-                }
-                Ok(Request::Cache { action }) => {
-                    write_line(&writer, &server.cache_action(action));
-                }
-                Ok(Request::Shutdown { mode }) => {
-                    server.shutdown(mode);
-                    write_line(&writer, &Response::Shutdown { mode });
-                    // Stop reading: nothing this connection could send
-                    // would be admitted.  The scope still joins the
-                    // in-flight drainers, so their `done` lines land.
-                    break;
-                }
-                Ok(Request::Cancel { id }) => match active.get(&id) {
-                    Some(request) if !request.finished.load(Ordering::Acquire) => {
-                        request.token.cancel();
-                        write_line(&writer, &Response::Cancelled { id });
-                    }
-                    _ => {
-                        write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(id),
-                                message: "no such active request".to_string(),
-                            },
-                        );
-                    }
-                },
-                Ok(Request::Sweep(request)) => {
-                    active.retain(|_, a| !a.finished.load(Ordering::Acquire));
-                    if active.contains_key(&request.id) {
-                        write_line(
-                            &writer,
-                            &Response::Error {
-                                id: Some(request.id),
-                                message: "request id already active".to_string(),
-                            },
-                        );
-                        continue;
-                    }
-                    match server.submit_for(&request, Some(&client)) {
-                        Err(SubmitError::Busy {
-                            queued,
-                            limit,
-                            retry_after_ms,
-                        }) => {
-                            write_line(
-                                &writer,
-                                &Response::Busy {
-                                    id: request.id,
-                                    queued,
-                                    limit,
-                                    retry_after_ms,
-                                },
-                            );
-                        }
-                        Err(SubmitError::Rejected(message)) => {
-                            write_line(
-                                &writer,
-                                &Response::Error {
-                                    id: Some(request.id),
-                                    message,
-                                },
-                            );
-                        }
-                        Ok(submission) => {
-                            let finished = Arc::new(AtomicBool::new(false));
-                            active.insert(
-                                request.id.clone(),
-                                Active {
-                                    token: submission.token.clone(),
-                                    finished: Arc::clone(&finished),
-                                },
-                            );
-                            let writer = &writer;
-                            let server = Arc::clone(server);
-                            let finished = Arc::clone(&finished);
-                            scope.spawn(move || {
-                                drain(
-                                    &server,
-                                    submission,
-                                    &request.id,
-                                    request.mode,
-                                    request.deadline_ms,
-                                    writer,
-                                );
-                                finished.store(true, Ordering::Release);
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        Ok(())
-    })
-}
-
-/// Runs the same requests *sequentially in-process* — each sweep drains to
-/// completion, in grid order, before the next line is read — producing the
-/// canonical output the streamed server paths are diffed against (the
-/// `--local` mode of the binary, used by `scripts/serve_smoke.sh`).
-/// `cancel` is rejected (nothing is ever in flight here); `shutdown` stops
-/// reading.
-///
-/// # Errors
-///
-/// Propagates read and write errors.
-pub fn serve_local<R, W>(server: &Arc<SweepServer>, reader: R, mut writer: W) -> io::Result<()>
-where
-    R: BufRead,
-    W: Write,
-{
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let response = match parse_request(&line) {
-            Err(e) => Some(Response::Error {
-                id: e.id,
-                message: e.message,
-            }),
-            Ok(Request::Stats) => Some(Response::Stats {
-                fields: server.stats_fields(),
-            }),
-            Ok(Request::Cache { action }) => Some(server.cache_action(action)),
-            Ok(Request::Shutdown { mode }) => {
-                server.shutdown(mode);
-                writeln!(writer, "{}", Response::Shutdown { mode })?;
-                return Ok(());
-            }
-            Ok(Request::Cancel { id }) => Some(Response::Error {
-                id: Some(id),
-                message: "local mode runs requests to completion; nothing to cancel".to_string(),
-            }),
-            Ok(Request::Sweep(request)) => match server.submit(&request) {
-                Err(SubmitError::Busy { queued, limit, .. }) => Some(Response::Error {
-                    id: Some(request.id),
-                    message: format!("server busy ({queued} of {limit} points queued)"),
-                }),
-                Err(SubmitError::Rejected(message)) => Some(Response::Error {
-                    id: Some(request.id),
-                    message,
-                }),
-                Ok(submission) => {
-                    // Batch-order delivery regardless of the requested
-                    // mode: local output is the order-independent oracle.
-                    // Deadlines are ignored here for the same reason.
-                    let lock = Mutex::new(&mut writer);
-                    drain(
-                        server,
-                        submission,
-                        &request.id,
-                        DeliveryMode::Batch,
-                        None,
-                        &lock,
-                    );
-                    None
-                }
-            },
-        };
-        if let Some(response) = response {
-            writeln!(writer, "{response}")?;
-        }
+    fn is_shutting_down(&self) -> bool {
+        self.shutting_down.load(Ordering::Acquire)
     }
-    Ok(())
-}
 
-/// How often the accept loops wake to check for shutdown.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
-
-/// Accepts TCP connections until a `shutdown` request arrives (from any
-/// connection), serving each on its own thread over the shared server.
-/// Returns once shutdown begins; the binary then waits for the queue to
-/// drain ([`await_drained`]) before exiting.
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-pub fn serve_tcp(server: &Arc<SweepServer>, listener: &TcpListener) -> io::Result<()> {
-    // Non-blocking accept so the loop can observe shutdown: with no libc
-    // binding available there is no signal handling, and a blocking accept
-    // would pin the process past the shutdown verb.
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_connection(&server, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
+    fn in_flight(&self) -> usize {
+        self.queue_depth()
     }
-}
-
-/// Accepts Unix-domain connections until shutdown, serving each on its own
-/// thread over the shared server (see [`serve_tcp`]).
-///
-/// # Errors
-///
-/// Propagates accept errors (per-connection I/O errors only end that
-/// connection).
-#[cfg(unix)]
-pub fn serve_unix(
-    server: &Arc<SweepServer>,
-    listener: &std::os::unix::net::UnixListener,
-) -> io::Result<()> {
-    listener.set_nonblocking(true)?;
-    loop {
-        if server.is_shutting_down() {
-            return Ok(());
-        }
-        match listener.accept() {
-            Ok((connection, _)) => {
-                let server = Arc::clone(server);
-                std::thread::spawn(move || {
-                    if connection.set_nonblocking(false).is_err() {
-                        return;
-                    }
-                    let reader = match connection.try_clone() {
-                        Ok(read_half) => BufReader::new(read_half),
-                        Err(_) => return,
-                    };
-                    let _ = serve_connection(&server, reader, connection);
-                });
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(e) => return Err(e),
-        }
-    }
-}
-
-/// Blocks until the server's queue is empty (every in-flight point
-/// settled) or `timeout` passes — the exit path of the socket modes after
-/// shutdown.  Returns whether the queue drained.
-pub fn await_drained(server: &SweepServer, timeout: Duration) -> bool {
-    let give_up = Instant::now() + timeout;
-    while server.queue_depth() > 0 {
-        if Instant::now() >= give_up {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
-    true
 }

@@ -5,8 +5,8 @@
 
 use dae_core::{SweepSession, TraceId};
 use dae_serve::{
-    parse_request, parse_response, serve_connection, serve_coordinator_connection, serve_local,
-    serve_tcp, Coordinator, Request, Response, SweepServer,
+    parse_request, parse_response, serve_connection, serve_local, serve_tcp, Coordinator, Request,
+    Response, SweepServer,
 };
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -447,8 +447,7 @@ fn a_two_backend_coordinator_matches_single_server_and_session_bit_for_bit() {
         Arc::new(Coordinator::connect(&[addr_one, addr_two]).expect("connect the fleet"));
 
     let mut sharded = Vec::new();
-    serve_coordinator_connection(&coordinator, input.as_bytes(), &mut sharded)
-        .expect("coordinated serve");
+    serve_connection(&coordinator, input.as_bytes(), &mut sharded).expect("coordinated serve");
 
     let mut single = Vec::new();
     let server = Arc::new(SweepServer::new());
@@ -548,7 +547,7 @@ fn a_two_backend_coordinator_matches_single_server_and_session_bit_for_bit() {
     // A shutdown through the coordinator is acknowledged and fans out:
     // both backend processes exit.
     let mut shutdown_out = Vec::new();
-    serve_coordinator_connection(&coordinator, "shutdown\n".as_bytes(), &mut shutdown_out)
+    serve_connection(&coordinator, "shutdown\n".as_bytes(), &mut shutdown_out)
         .expect("shutdown path");
     let ack = String::from_utf8(shutdown_out).expect("utf8");
     assert!(

@@ -142,6 +142,15 @@ for p in $bp1 $bp2; do
   done
 done
 
+# The sequential oracle through the coordinator: the same serving core
+# runs --local over either dispatcher, so the sharded canonical output
+# must equal the single-server one line for line (placement is by cache
+# key, so even id=d's cached count matches).
+"$bin" --local "$req" > target/serve-smoke-local-raw.txt
+timeout 120 "$bin" --coordinator 127.0.0.1:$bp1,127.0.0.1:$bp2 --local "$req" \
+  > target/serve-smoke-shard-local-raw.txt
+diff -u target/serve-smoke-local-raw.txt target/serve-smoke-shard-local-raw.txt
+
 req_shard=target/serve-smoke-shard-requests.txt
 {
   cat "$req"
@@ -174,4 +183,4 @@ fi
 wait $b1 $b2 2>/dev/null || true
 trap - EXIT
 
-echo "serve smoke OK: $(wc -l < target/serve-smoke-got.txt) streamed points match the in-process results; malformed and oversized requests rejected cleanly; a restarted --cache-dir server answered its grid entirely from the persisted cache; concurrent bulk + interactive clients both completed; a two-backend coordinator reproduced the grid bit for bit and shut its fleet down"
+echo "serve smoke OK: $(wc -l < target/serve-smoke-got.txt) streamed points match the in-process results; malformed and oversized requests rejected cleanly; a restarted --cache-dir server answered its grid entirely from the persisted cache; concurrent bulk + interactive clients both completed; a two-backend coordinator reproduced the grid bit for bit (streamed and --local) and shut its fleet down"
