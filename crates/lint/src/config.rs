@@ -100,6 +100,9 @@ impl LintConfig {
                     "crates/machines/src/pool.rs",
                     &["take_unit", "put_unit", "consumer_counts"],
                 ),
+                // Every reply burst formats straight into the connection's
+                // reused buffer: no per-line string.
+                hot("crates/serve/src/dispatch.rs", &["send"]),
             ],
             // PR 5/6: a request must answer with an `error` line, not
             // unwind.

@@ -309,6 +309,9 @@ impl Coordinator {
         for addr in addrs {
             let stream = TcpStream::connect(addr)
                 .map_err(|e| io::Error::other(format!("cannot connect to backend {addr}: {e}")))?;
+            // Each subrequest leaves as one whole line; Nagle would hold it
+            // until the backend's delayed ACK.
+            stream.set_nodelay(true)?;
             read_halves.push(stream.try_clone()?);
             backends.push(Backend::new(addr.clone(), Some(stream)));
         }
@@ -581,9 +584,10 @@ impl CoordInner {
         Ok(hash)
     }
 
-    /// Writes one protocol line on a backend's data connection.  `false`
-    /// means the backend is unreachable (the connection is torn down so
-    /// later writers fail fast; the caller escalates to `mark_dead`).
+    /// Writes one newline-terminated protocol line on a backend's data
+    /// connection, as one write.  `false` means the backend is unreachable
+    /// (the connection is torn down so later writers fail fast; the caller
+    /// escalates to `mark_dead`).
     fn write_backend(&self, backend: usize, line: &str) -> bool {
         let Some(slot) = self.backends.get(backend) else {
             return false;
@@ -594,7 +598,6 @@ impl CoordInner {
         };
         let ok = stream
             .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
             .and_then(|()| stream.flush())
             .is_ok();
         if !ok {
@@ -832,7 +835,7 @@ impl CoordInner {
                 .collect()
         };
         for (backend, subid) in targets {
-            if !self.write_backend(backend, &format!("cancel id={subid}")) {
+            if !self.write_backend(backend, &format!("cancel id={subid}\n")) {
                 self.mark_dead(backend);
             }
         }
@@ -870,10 +873,10 @@ impl CoordInner {
 /// one-machine × one-window × one-MD grid under the coordinator-issued
 /// subid.  Mode is always `stream` (one point has no ordering to batch)
 /// and the client deadline is *not* forwarded — deadlines act at the
-/// coordinator, where the whole grid is visible.
+/// coordinator, where the whole grid is visible.  Newline-terminated.
 fn subrequest_line(point: &PendingPoint, subid: &str) -> String {
     let request = &point.route.request;
-    SweepRequest {
+    let subrequest = SweepRequest {
         id: subid.to_string(),
         source: request.source.clone(),
         iterations: request.iterations,
@@ -883,8 +886,8 @@ fn subrequest_line(point: &PendingPoint, subid: &str) -> String {
         mode: DeliveryMode::Stream,
         deadline_ms: None,
         priority: request.priority,
-    }
-    .to_string()
+    };
+    format!("{subrequest}\n")
 }
 
 /// Strips the backend's `point 0 failed: ` framing from a forwarded
@@ -929,10 +932,9 @@ fn watchdog_loop(inner: &Weak<CoordInner>) {
 fn control_roundtrip(addr: &str, line: &str) -> Option<String> {
     let stream = TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(CONTROL_TIMEOUT)).ok()?;
+    stream.set_nodelay(true).ok()?;
     let mut write_half = stream.try_clone().ok()?;
-    write_half.write_all(line.as_bytes()).ok()?;
-    write_half.write_all(b"\n").ok()?;
-    write_half.flush().ok()?;
+    write_half.write_all(format!("{line}\n").as_bytes()).ok()?;
     let mut reply = String::new();
     BufReader::new(stream).read_line(&mut reply).ok()?;
     let reply = reply.trim_end_matches(['\n', '\r']).to_string();

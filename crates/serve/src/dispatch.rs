@@ -9,11 +9,14 @@
 //! here, once, for both.
 //!
 //! Each connection runs [`serve_connection`]: a reader loop that parses
-//! request lines and, per sweep, a *drainer* thread that copies the job's
-//! outcomes to the connection writer as tagged `point` lines (stream mode)
-//! or in grid order once complete (batch mode), followed by a `done`
-//! line.  Because every line is tagged with its request id, a client may
-//! keep several sweeps in flight and cancel any of them mid-flight.
+//! request lines and, per sweep, a *drain* that copies the job's outcomes
+//! to the connection writer as tagged `point` lines (stream mode) or in
+//! grid order once complete (batch mode), followed by a `done` line.  A
+//! sweep that settled at submit is drained by the reader loop itself;
+//! only one that must wait moves to a drainer thread.  Lines that settle
+//! together leave in one write.  Because every line is tagged with its
+//! request id, a client may keep several sweeps in flight and cancel any
+//! of them mid-flight.
 //!
 //! [`SweepServer`]: crate::SweepServer
 //! [`Coordinator`]: crate::Coordinator
@@ -22,6 +25,7 @@ use crate::protocol::{
     parse_request, CacheAction, DeliveryMode, DoneStatus, Request, Response, ShutdownMode,
     SweepRequest,
 };
+use dae_core::{Machine, WindowSpec};
 use dae_isa::Cycle;
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -120,15 +124,38 @@ pub trait Dispatcher: Send + Sync + 'static {
     fn in_flight(&self) -> usize;
 }
 
-pub(crate) fn write_line<W: Write>(writer: &Mutex<W>, response: &Response) -> bool {
-    // Poison recovery: a writer is a byte sink whose worst torn state is a
-    // partial line on a connection that is being abandoned anyway.
-    let mut writer = writer.lock().unwrap_or_else(PoisonError::into_inner);
-    // A failed write means the client went away; callers use the signal to
-    // cancel the work they were relaying.
-    writeln!(writer, "{response}")
-        .and_then(|()| writer.flush())
-        .is_ok()
+/// A connection's writer, shared by its reader thread and its drainers.
+///
+/// Each [`Burst::send`] formats its lines into one reused buffer and hands
+/// them to the writer as a single `write_all` plus `flush`: on a socket,
+/// lines that settled together leave in one segment instead of one small
+/// `send` per `Display` fragment.
+struct Burst<W> {
+    out: Mutex<(W, Vec<u8>)>,
+}
+
+impl<W: Write> Burst<W> {
+    fn new(writer: W) -> Self {
+        Burst {
+            out: Mutex::new((writer, Vec::new())),
+        }
+    }
+
+    /// Writes `lines` as one burst.  An error means the client went away;
+    /// callers use the signal to cancel the work they were relaying.
+    fn send(&self, lines: &[Response]) -> io::Result<()> {
+        // Poison recovery: the buffer is cleared before every use, and the
+        // writer is a byte sink whose worst torn state is a partial line on
+        // a connection that is being abandoned anyway.
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        let (writer, buf) = &mut *out;
+        buf.clear();
+        for line in lines {
+            // Formatting into a `Vec` cannot fail.
+            let _ = writeln!(buf, "{line}");
+        }
+        writer.write_all(buf).and_then(|()| writer.flush())
+    }
 }
 
 /// Submits a sweep unless the dispatcher is shutting down.
@@ -146,57 +173,126 @@ fn submit<D: Dispatcher>(
     dispatcher.submit(request, client)
 }
 
-/// Drains one job to the shared connection writer: `point` lines
-/// (immediately in stream mode, sorted into grid order in batch mode),
-/// `error` lines for points whose simulation failed, and finally the
-/// request's `done` accounting line with its terminal status.
+/// Points settled so far, by how they settled.
+#[derive(Default)]
+struct Tally {
+    delivered: usize,
+    dropped: usize,
+    aborted: usize,
+    failed: usize,
+    cached: u64,
+}
+
+/// Relays one job to its connection's writer: `point` lines (as they
+/// settle in stream mode, sorted into grid order in batch mode), `error`
+/// lines for points whose simulation failed, and finally the request's
+/// `done` accounting line with its terminal status.
+///
+/// The drain is resumable.  [`Drain::pump`] writes whatever has settled
+/// and, when asked not to block, stops at the first outcome it would have
+/// to wait for, so the connection thread can finish a job that settled at
+/// submit (cache hits) without a drainer thread.  Lines settled between
+/// two waits leave as one burst: stream mode never holds a settled line
+/// across a wait, and the last lines leave together with the `done`.
 ///
 /// A deadline, when present, bounds the whole drain: on expiry the job is
 /// cancelled (running points abort mid-simulation) and the residue is
 /// collected with `status=timeout`.  A failed client write likewise
 /// cancels the job — dead-client cleanup stops simulating what no one
 /// will read, *including* the points already running.
-fn drain<D: Dispatcher, W: Write>(
-    dispatcher: &D,
-    mut job: Box<dyn Job>,
-    request: &SweepRequest,
+struct Drain<'a, D, W> {
+    dispatcher: &'a D,
+    writer: &'a Burst<W>,
+    job: Box<dyn Job>,
+    cancel: Canceller,
+    id: String,
+    grid: Vec<(Machine, WindowSpec, Cycle)>,
     mode: DeliveryMode,
-    deadline_ms: Option<u64>,
-    writer: &Mutex<W>,
-) {
-    let grid = request.grid();
-    let cancel = job.canceller();
-    let deadline = deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
-    let mut timed_out = false;
-    let (mut delivered, mut dropped, mut aborted, mut failed, mut cached) = (0, 0, 0, 0, 0);
-    // Batch lines keyed by grid index; failures key last, and the stable
-    // sort keeps them in arrival order after the points.
-    let mut batched: Vec<(usize, Response)> = Vec::new();
-    loop {
-        let (index, outcome) = match job.next(deadline.filter(|_| !timed_out)) {
-            Wait::Settled(index, outcome) => (index, outcome),
-            Wait::Exhausted => break,
-            Wait::TimedOut => {
-                // Budget spent: cancel (running points abort at their next
-                // engine poll) and drain the residue without a deadline —
-                // it settles in microseconds.
-                timed_out = true;
-                dispatcher.note_timeout();
-                cancel();
-                continue;
+    deadline: Option<Instant>,
+    timed_out: bool,
+    tally: Tally,
+    /// Batch lines keyed by grid index; failures key last, and the stable
+    /// sort keeps them in arrival order after the points.
+    batched: Vec<(usize, Response)>,
+    /// Lines settled since the last burst.
+    unsent: Vec<Response>,
+}
+
+impl<'a, D: Dispatcher, W: Write> Drain<'a, D, W> {
+    fn new(
+        dispatcher: &'a D,
+        writer: &'a Burst<W>,
+        job: Box<dyn Job>,
+        request: &SweepRequest,
+        mode: DeliveryMode,
+        deadline_ms: Option<u64>,
+    ) -> Self {
+        Drain {
+            dispatcher,
+            writer,
+            cancel: job.canceller(),
+            job,
+            id: request.id.clone(),
+            grid: request.grid(),
+            mode,
+            deadline: deadline_ms.map(|ms| Instant::now() + Duration::from_millis(ms)),
+            timed_out: false,
+            tally: Tally::default(),
+            batched: Vec::new(),
+            unsent: Vec::new(),
+        }
+    }
+
+    /// Relays settled outcomes until the job is exhausted — then writes
+    /// the closing burst and returns `true` — or, when `block` is false,
+    /// until the next outcome is not ready yet (returns `false`).
+    fn pump(&mut self, block: bool) -> bool {
+        loop {
+            // Poll first: a `TimedOut` from an already-passed deadline
+            // means only "nothing is ready".
+            let wait = match self.job.next(Some(Instant::now())) {
+                Wait::TimedOut => {
+                    self.flush();
+                    if !block {
+                        return false;
+                    }
+                    self.job.next(self.deadline.filter(|_| !self.timed_out))
+                }
+                ready => ready,
+            };
+            match wait {
+                Wait::Settled(index, outcome) => self.settle(index, outcome),
+                Wait::Exhausted => {
+                    self.finish();
+                    return true;
+                }
+                // Only the real wait above can expire the budget: cancel
+                // (running points abort at their next engine poll) and
+                // drain the residue without a deadline — it settles in
+                // microseconds.
+                Wait::TimedOut => {
+                    self.timed_out = true;
+                    self.dispatcher.note_timeout();
+                    (self.cancel)();
+                }
             }
-        };
-        dispatcher.note_outcome(&outcome);
+        }
+    }
+
+    /// Counts one settled point and queues its line, if it has one.
+    fn settle(&mut self, index: usize, outcome: Outcome) {
+        self.dispatcher.note_outcome(&outcome);
+        let tally = &mut self.tally;
         let (key, line) = match outcome {
             Outcome::Point {
                 cycles,
                 cached: hit,
             } => {
-                delivered += 1;
-                cached += u64::from(hit);
-                let (machine, window, md) = grid[index];
+                tally.delivered += 1;
+                tally.cached += u64::from(hit);
+                let (machine, window, md) = self.grid[index];
                 let point = Response::Point {
-                    id: request.id.clone(),
+                    id: self.id.clone(),
                     index,
                     machine,
                     window,
@@ -206,61 +302,71 @@ fn drain<D: Dispatcher, W: Write>(
                 (index, point)
             }
             Outcome::Skipped => {
-                dropped += 1;
-                continue;
+                tally.dropped += 1;
+                return;
             }
             Outcome::Aborted => {
-                aborted += 1;
-                continue;
+                tally.aborted += 1;
+                return;
             }
             Outcome::Failed { message } => {
-                failed += 1;
+                tally.failed += 1;
                 let error = Response::Error {
-                    id: Some(request.id.clone()),
+                    id: Some(self.id.clone()),
                     message: format!("point {index} failed: {message}"),
                 };
                 (usize::MAX, error)
             }
         };
-        match mode {
-            // A failed write means the client is gone: stop simulating
-            // what no one will read.  The job still drains, keeping the
-            // accounting consistent.
-            DeliveryMode::Stream => {
-                if !write_line(writer, &line) {
-                    cancel();
-                }
-            }
-            DeliveryMode::Batch => batched.push((key, line)),
+        match self.mode {
+            DeliveryMode::Stream => self.unsent.push(line),
+            DeliveryMode::Batch => self.batched.push((key, line)),
         }
     }
-    batched.sort_by_key(|&(key, _)| key);
-    for (_, line) in &batched {
-        write_line(writer, line);
+
+    /// Writes the lines settled since the last burst.  A failed write
+    /// means the client is gone: stop simulating what no one will read.
+    /// The job still drains, keeping the accounting consistent.
+    fn flush(&mut self) {
+        if self.unsent.is_empty() {
+            return;
+        }
+        if self.writer.send(&self.unsent).is_err() {
+            (self.cancel)();
+        }
+        self.unsent.clear();
     }
-    // One status per request, by severity (see `DoneStatus`).
-    let status = if timed_out {
-        DoneStatus::Timeout
-    } else if failed > 0 {
-        DoneStatus::Error
-    } else if dropped + aborted > 0 {
-        DoneStatus::Cancelled
-    } else {
-        DoneStatus::Ok
-    };
-    let _ = write_line(
-        writer,
-        &Response::Done {
-            id: request.id.clone(),
-            points: grid.len(),
-            delivered,
-            dropped,
-            aborted,
-            failed,
-            cached,
+
+    /// Writes the closing burst: the unsent (stream) or grid-ordered
+    /// (batch) lines, then the `done` line.
+    fn finish(&mut self) {
+        self.batched.sort_by_key(|&(key, _)| key);
+        self.unsent
+            .extend(self.batched.drain(..).map(|(_, line)| line));
+        let tally = &self.tally;
+        // One status per request, by severity (see `DoneStatus`).
+        let status = if self.timed_out {
+            DoneStatus::Timeout
+        } else if tally.failed > 0 {
+            DoneStatus::Error
+        } else if tally.dropped + tally.aborted > 0 {
+            DoneStatus::Cancelled
+        } else {
+            DoneStatus::Ok
+        };
+        self.unsent.push(Response::Done {
+            id: self.id.clone(),
+            points: self.grid.len(),
+            delivered: tally.delivered,
+            dropped: tally.dropped,
+            aborted: tally.aborted,
+            failed: tally.failed,
+            cached: tally.cached,
             status,
-        },
-    );
+        });
+        let _ = self.writer.send(&self.unsent);
+        self.unsent.clear();
+    }
 }
 
 /// A parsed request line, sorted by what the caller must do with it.
@@ -320,7 +426,7 @@ where
     W: Write + Send,
 {
     let dispatcher: &D = dispatcher;
-    let writer = Mutex::new(writer);
+    let writer = Burst::new(writer);
     let client = dispatcher.connect();
     // Scoped drainer threads: every submitted sweep is joined (its `done`
     // line written) before this call returns, even on a read error.
@@ -334,7 +440,7 @@ where
             let reply = match step(dispatcher, &line) {
                 Step::Reply(reply) => reply,
                 Step::Stop(reply) => {
-                    write_line(&writer, &reply);
+                    let _ = writer.send(&[reply]);
                     // Nothing this connection could send would be
                     // admitted.  The scope still joins the in-flight
                     // drainers, so their `done` lines land.
@@ -363,23 +469,34 @@ where
                     match submitted {
                         Err(refusal) => refusal,
                         Ok(job) => {
-                            let finished = Arc::new(AtomicBool::new(false));
-                            active.insert(
-                                request.id.clone(),
-                                (job.canceller(), Arc::clone(&finished)),
+                            let mut drain = Drain::new(
+                                dispatcher,
+                                &writer,
+                                job,
+                                &request,
+                                request.mode,
+                                request.deadline_ms,
                             );
-                            let writer = &writer;
-                            scope.spawn(move || {
-                                let (mode, deadline) = (request.mode, request.deadline_ms);
-                                drain(dispatcher, job, &request, mode, deadline, writer);
-                                finished.store(true, Ordering::Release);
-                            });
+                            // A job that settled at submit (cache hits) is
+                            // written here; only one that would block gets
+                            // a drainer thread.
+                            if !drain.pump(false) {
+                                let finished = Arc::new(AtomicBool::new(false));
+                                active.insert(
+                                    request.id,
+                                    (Arc::clone(&drain.cancel), Arc::clone(&finished)),
+                                );
+                                scope.spawn(move || {
+                                    drain.pump(true);
+                                    finished.store(true, Ordering::Release);
+                                });
+                            }
                             continue;
                         }
                     }
                 }
             };
-            write_line(&writer, &reply);
+            let _ = writer.send(&[reply]);
         }
         Ok(())
     });
@@ -396,13 +513,14 @@ where
 /// # Errors
 ///
 /// Propagates read and write errors.
-pub fn serve_local<D, R, W>(dispatcher: &Arc<D>, reader: R, mut writer: W) -> io::Result<()>
+pub fn serve_local<D, R, W>(dispatcher: &Arc<D>, reader: R, writer: W) -> io::Result<()>
 where
     D: Dispatcher,
     R: BufRead,
     W: Write,
 {
     let dispatcher: &D = dispatcher;
+    let writer = Burst::new(writer);
     for line in reader.lines() {
         let line = line?;
         if line.trim().is_empty() {
@@ -411,7 +529,7 @@ where
         let reply = match step(dispatcher, &line) {
             Step::Reply(reply) => reply,
             Step::Stop(reply) => {
-                writeln!(writer, "{reply}")?;
+                writer.send(&[reply])?;
                 return Ok(());
             }
             Step::Cancel(id) => Response::Error {
@@ -423,8 +541,15 @@ where
                     // Batch-order delivery regardless of the requested
                     // mode: local output is the order-independent oracle.
                     // Deadlines are ignored here for the same reason.
-                    let lock = Mutex::new(&mut writer);
-                    drain(dispatcher, job, &request, DeliveryMode::Batch, None, &lock);
+                    Drain::new(
+                        dispatcher,
+                        &writer,
+                        job,
+                        &request,
+                        DeliveryMode::Batch,
+                        None,
+                    )
+                    .pump(true);
                     continue;
                 }
                 Err(Response::Busy {
@@ -436,7 +561,7 @@ where
                 Err(refusal) => refusal,
             },
         };
-        writeln!(writer, "{reply}")?;
+        writer.send(&[reply])?;
     }
     Ok(())
 }
@@ -454,6 +579,9 @@ trait Connection: Read + Write + Send + Sized + 'static {
 impl Connection for TcpStream {
     fn read_half(&self) -> io::Result<Self> {
         self.set_nonblocking(false)?;
+        // Replies leave as whole bursts; Nagle would hold a burst's tail
+        // until the client's delayed ACK.
+        self.set_nodelay(true)?;
         self.try_clone()
     }
 }

@@ -78,6 +78,14 @@ fn oracle(line: &str) -> Vec<u64> {
     session.sweep_multi(&request.points(id))
 }
 
+/// Sends one request line in a single write (a line written in pieces
+/// would wait on the server's delayed ACK between them).
+fn send(stream: &mut TcpStream, line: &str) {
+    stream
+        .write_all(format!("{line}\n").as_bytes())
+        .expect("send request");
+}
+
 fn verify(line: &str, got: &HashMap<usize, u64>) {
     let expected = oracle(line);
     assert_eq!(got.len(), expected.len(), "{line}");
@@ -107,13 +115,15 @@ fn main() {
     // shared session and every response line is tagged.
     let mut alice = TcpStream::connect(addr).expect("connect");
     let mut bob = TcpStream::connect(addr).expect("connect");
+    alice.set_nodelay(true).expect("set no-delay");
+    bob.set_nodelay(true).expect("set no-delay");
     let mut alice_reader = BufReader::new(alice.try_clone().expect("clone"));
     let mut bob_reader = BufReader::new(bob.try_clone().expect("clone"));
 
     println!("\nalice > {trfd}");
-    writeln!(alice, "{trfd}").unwrap();
+    send(&mut alice, trfd);
     println!("bob   > {daxpy}");
-    writeln!(bob, "{daxpy}").unwrap();
+    send(&mut bob, daxpy);
 
     let from_alice = read_all(&mut alice_reader, &["trfd"]);
     let from_bob = read_all(&mut bob_reader, &["daxpy"]);
@@ -122,7 +132,7 @@ fn main() {
 
     // The same grid again (fresh request id): answered from the cache.
     println!("\nalice > {repeat}");
-    writeln!(alice, "{repeat}").unwrap();
+    send(&mut alice, repeat);
     let warm = read_all(&mut alice_reader, &["again"]);
     verify(repeat, &warm["again"].0);
     let (points, cached) = (&warm["again"].0, warm["again"].1);
@@ -133,7 +143,7 @@ fn main() {
     );
 
     println!("\nalice > stats");
-    writeln!(alice, "stats").unwrap();
+    send(&mut alice, "stats");
     let mut line = String::new();
     alice_reader.read_line(&mut line).expect("stats reply");
     println!("  < {}", line.trim_end());
